@@ -99,13 +99,15 @@ cover_sites! {
     WIRE_OK_FINISHED,
     WIRE_OK_ABORT,
     WIRE_OK_STARTED,
-    WIRE_OK_EVENT,
+    WIRE_OK_EVENTS,
     WIRE_OK_DONE,
     WIRE_OK_FAILED,
     WIRE_OK_FETCH,
     WIRE_OK_ARTIFACT,
     WIRE_OK_BYE,
     WIRE_OK_HEARTBEAT,
+    WIRE_RETIRED_TAG,
+    WIRE_EVENTS_COUNT_OVERSTATED,
     WIRE_HEARTBEAT_SKIPPED,
 }
 

@@ -11,7 +11,7 @@
 //! * a worker ([`work`]) measures each assigned entry through the exact
 //!   per-slot path a local executor uses
 //!   (`crate::executor`'s claim loop), streaming scoped
-//!   [`ProfilingEvent`]s back as it runs and the finished
+//!   [`ProfilingEvent`]s back in batches as it runs and the finished
 //!   [`EntryArtifact`](crate::checkpoint::EntryArtifact) — byte-for-byte the on-disk `FGRVCKPT` entry
 //!   section — when it completes;
 //! * the coordinator persists every artifact into a normal
@@ -76,6 +76,17 @@
 //! `FGRVCKPT` format (the on-disk format *is* the wire format — an
 //! [`EntryArtifact`](crate::checkpoint::EntryArtifact) travels as the exact bytes `EntryArtifact::write_to`
 //! persists). `docs/FORMATS.md` is the normative byte-level spec.
+//!
+//! A campaign emits hundreds of thousands of device events, so they do
+//! not travel one frame each: the worker appends every event of its
+//! in-flight entry to a buffer and ships the buffer as one
+//! [`Frame::Events`] batch at every stage boundary (the boundary event
+//! closes the batch, so live stage progress is as prompt as before),
+//! whenever the buffer holds `EVENT_BATCH_CAP` events, and before the
+//! entry's `Done`/`Failed`. The coordinator replays each batch to its
+//! observer in order, so observers see every event, in the same order,
+//! before the entry's `entry_finished`/`entry_failed`; only the
+//! delivery granularity differs from a local run.
 //!
 //! ## Example: a distributed campaign on TCP loopback
 //!
@@ -155,8 +166,10 @@ pub const WIRE_MAGIC: [u8; 8] = *b"FGRVWIRE";
 /// test cross-checks the two, so bumping one without the other fails CI.
 ///
 /// v2 added the bidirectional [`Frame::Heartbeat`] (receivers of v1
-/// would treat the new tag as corruption, hence the bump).
-pub const WIRE_VERSION: u32 = 2;
+/// would treat the new tag as corruption, hence the bump). v3 replaced
+/// the per-event `Event` frame (tag 9, now retired and rejected as
+/// [`TransportError::RetiredFrame`]) with the batched [`Frame::Events`].
+pub const WIRE_VERSION: u32 = 3;
 
 /// Hard ceiling on a frame payload length. The largest legitimate payload
 /// is an [`EntryArtifact`](crate::checkpoint::EntryArtifact) (a full report with embedded profiles — tens
@@ -183,6 +196,12 @@ pub const DENY_SEQUENCE_EARLY: u8 = 3;
 /// corrupt length field fails on the first short read instead of
 /// committing memory (mirrors the checkpoint codec's chunked reads).
 const READ_CHUNK: usize = 64 * 1024;
+
+/// Device events a worker buffers before it ships them as one
+/// [`Frame::Events`] batch even mid-stage. Large enough that framing,
+/// the writer lock and the coordinator's per-frame work vanish from the
+/// per-event cost; small enough that a batch stays a few hundred KiB.
+const EVENT_BATCH_CAP: usize = 4096;
 
 /// How long assignment waiters sleep between cancellation checks, and how
 /// long the accept loop sleeps between polls.
@@ -235,6 +254,9 @@ pub enum TransportError {
     Truncated(&'static str),
     /// A frame decoded but violates the format's invariants.
     Corrupt(String),
+    /// A frame carries a tag an earlier wire version used and this one
+    /// retired (tag 9, the per-event `Event` frame of v1 and v2).
+    RetiredFrame(u32),
     /// An artifact or handshake carried the wrong campaign digest.
     DigestMismatch {
         /// Digest of the local campaign.
@@ -277,6 +299,11 @@ impl fmt::Display for TransportError {
                 write!(f, "connection ended inside the {block} block")
             }
             TransportError::Corrupt(why) => write!(f, "corrupt frame: {why}"),
+            TransportError::RetiredFrame(tag) => write!(
+                f,
+                "frame tag {tag} was retired in wire v3 (device events travel in batched \
+                 Events frames)"
+            ),
             TransportError::DigestMismatch { expected, found } => write!(
                 f,
                 "campaign digest mismatch (peer has {found:016x}, local campaign \
@@ -400,13 +427,15 @@ const TAG_ASSIGN: u32 = 5;
 const TAG_FINISHED: u32 = 6;
 const TAG_ABORT: u32 = 7;
 const TAG_STARTED: u32 = 8;
-const TAG_EVENT: u32 = 9;
+/// The per-event frame of wire v1/v2; v3 rejects it.
+const RETIRED_TAG_EVENT: u32 = 9;
 const TAG_DONE: u32 = 10;
 const TAG_FAILED: u32 = 11;
 const TAG_FETCH: u32 = 12;
 const TAG_ARTIFACT: u32 = 13;
 const TAG_BYE: u32 = 14;
 const TAG_HEARTBEAT: u32 = 15;
+const TAG_EVENTS: u32 = 16;
 
 /// One protocol message. See the module docs for the conversation and
 /// `docs/FORMATS.md` for the byte-level layout.
@@ -464,13 +493,15 @@ pub enum Frame {
         /// [`CampaignObserver::entry_started`]).
         label: String,
     },
-    /// Worker → coordinator: one scoped progress event of the in-flight
-    /// entry.
-    Event {
+    /// Worker → coordinator: the next scoped progress events of the
+    /// in-flight entry, in emission order (since wire v3). A batch ends
+    /// at a stage boundary event, at `EVENT_BATCH_CAP` events, or right
+    /// before the entry's [`Frame::Done`]/[`Frame::Failed`].
+    Events {
         /// Campaign index.
         index: u64,
-        /// The stage-boundary or device event.
-        event: ProfilingEvent,
+        /// The stage-boundary and device events.
+        events: Vec<ProfilingEvent>,
     },
     /// Worker → coordinator: entry `index` finished; the payload is the
     /// entry's `FGRVCKPT` artifact, byte-for-byte what
@@ -553,6 +584,46 @@ fn read_bytes<R: Read>(r: &mut R, block: &'static str) -> Result<Vec<u8>, Checkp
     read_bounded(r, len, block)
 }
 
+/// Decodes the body of an [`Frame::Events`] batch: a `u64` count, then
+/// that many events. Every event encodes to at least one byte, so a
+/// count above the bytes left in the payload is rejected before anything
+/// is allocated, and the up-front capacity never exceeds one full batch.
+fn decode_events(r: &mut &[u8]) -> Result<Vec<ProfilingEvent>, CheckpointError> {
+    let claimed = u64::decode(r)?;
+    let count = usize::try_from(claimed)
+        .ok()
+        .filter(|&count| count <= r.len())
+        .ok_or_else(|| {
+            cover::hit(cover::WIRE_EVENTS_COUNT_OVERSTATED);
+            CheckpointError::Corrupt(format!(
+                "event batch claims {claimed} events but only {} payload bytes follow",
+                r.len()
+            ))
+        })?;
+    let mut events = Vec::with_capacity(count.min(EVENT_BATCH_CAP));
+    for _ in 0..count {
+        events.push(ProfilingEvent::decode(r)?);
+    }
+    Ok(events)
+}
+
+/// Validates a frame header before any payload byte is read: a retired
+/// tag is refused outright, and the length is held to [`MAX_FRAME_LEN`]
+/// before it can drive allocation.
+fn check_header(tag: u32, len: u64) -> Result<(), TransportError> {
+    if tag == RETIRED_TAG_EVENT {
+        cover::hit(cover::WIRE_RETIRED_TAG);
+        return Err(TransportError::RetiredFrame(tag));
+    }
+    if len > MAX_FRAME_LEN {
+        cover::hit(cover::WIRE_FRAME_IMPLAUSIBLE_LEN);
+        return Err(TransportError::Corrupt(format!(
+            "implausible frame length {len}"
+        )));
+    }
+    Ok(())
+}
+
 impl Frame {
     fn tag(&self) -> u32 {
         match self {
@@ -564,7 +635,7 @@ impl Frame {
             Frame::Finished { .. } => TAG_FINISHED,
             Frame::Abort => TAG_ABORT,
             Frame::Started { .. } => TAG_STARTED,
-            Frame::Event { .. } => TAG_EVENT,
+            Frame::Events { .. } => TAG_EVENTS,
             Frame::Done { .. } => TAG_DONE,
             Frame::Failed { .. } => TAG_FAILED,
             Frame::Fetch { .. } => TAG_FETCH,
@@ -601,9 +672,9 @@ impl Frame {
                 index.encode(w)?;
                 label.encode(w)
             }
-            Frame::Event { index, event } => {
+            Frame::Events { index, events } => {
                 index.encode(w)?;
-                event.encode(w)
+                events.encode(w)
             }
             Frame::Done { index, artifact } => {
                 index.encode(w)?;
@@ -629,7 +700,7 @@ impl Frame {
             TAG_FINISHED => cover::WIRE_OK_FINISHED,
             TAG_ABORT => cover::WIRE_OK_ABORT,
             TAG_STARTED => cover::WIRE_OK_STARTED,
-            TAG_EVENT => cover::WIRE_OK_EVENT,
+            TAG_EVENTS => cover::WIRE_OK_EVENTS,
             TAG_DONE => cover::WIRE_OK_DONE,
             TAG_FAILED => cover::WIRE_OK_FAILED,
             TAG_FETCH => cover::WIRE_OK_FETCH,
@@ -665,9 +736,9 @@ impl Frame {
                 index: u64::decode(r)?,
                 label: String::decode(r)?,
             }),
-            TAG_EVENT => Ok(Frame::Event {
+            TAG_EVENTS => Ok(Frame::Events {
                 index: u64::decode(r)?,
-                event: ProfilingEvent::decode(r)?,
+                events: decode_events(r)?,
             }),
             TAG_DONE => Ok(Frame::Done {
                 index: u64::decode(r)?,
@@ -714,8 +785,8 @@ impl Frame {
     /// # Errors
     ///
     /// Returns the typed [`TransportError`] for truncated streams,
-    /// implausible lengths, unknown tags, and payloads that decode short,
-    /// long, or corrupt.
+    /// implausible lengths, retired or unknown tags, and payloads that
+    /// decode short, long, or corrupt.
     pub fn read_from<R: Read>(r: &mut R) -> Result<Frame, TransportError> {
         let mut tag = [0u8; 4];
         crate::checkpoint::read_exact_ck(r, &mut tag, "frame tag")?;
@@ -723,12 +794,7 @@ impl Frame {
         let mut len = [0u8; 8];
         crate::checkpoint::read_exact_ck(r, &mut len, "frame length")?;
         let len = u64::from_le_bytes(len);
-        if len > MAX_FRAME_LEN {
-            cover::hit(cover::WIRE_FRAME_IMPLAUSIBLE_LEN);
-            return Err(TransportError::Corrupt(format!(
-                "implausible frame length {len}"
-            )));
-        }
+        check_header(tag, len)?;
         let payload = read_bounded(r, len, "frame payload")?;
         Ok(Frame::decode_payload(tag, &payload)?)
     }
@@ -858,12 +924,7 @@ fn read_frame_budgeted<R: Read>(
     fill_budgeted(r, &mut len, "frame length", idle, tick)?;
     let tag = u32::from_le_bytes(tag);
     let len = u64::from_le_bytes(len);
-    if len > MAX_FRAME_LEN {
-        cover::hit(cover::WIRE_FRAME_IMPLAUSIBLE_LEN);
-        return Err(TransportError::Corrupt(format!(
-            "implausible frame length {len}"
-        )));
-    }
+    check_header(tag, len)?;
     let len = usize::try_from(len)
         .map_err(|_| TransportError::Corrupt(format!("implausible frame length {len}")))?;
     let mut payload = Vec::with_capacity(len.min(READ_CHUNK));
@@ -1340,7 +1401,8 @@ fn handle_connection(
         let frame = read_frame_budgeted(&mut reader, shared.idle, &mut || Ok(()))?;
         if let Some(index) = *current {
             // Any frame from the owning worker — heartbeats included —
-            // proves the assignment is still alive.
+            // proves the assignment is still alive (an event batch
+            // renews once, however many events it carries).
             shared.lock().leases.renew(index);
         }
         match frame {
@@ -1364,9 +1426,11 @@ fn handle_connection(
                 let index = expect_current(shared, *current, index)?;
                 shared.observer.entry_started(index, &label);
             }
-            Frame::Event { index, event } => {
+            Frame::Events { index, events } => {
                 let index = expect_current(shared, *current, index)?;
-                shared.observer.entry_event(index, &event);
+                for event in &events {
+                    shared.observer.entry_event(index, event);
+                }
             }
             Frame::Done { index, artifact } => {
                 let index = expect_current(shared, *current, index)?;
@@ -1701,60 +1765,127 @@ pub struct WorkerSummary {
     pub reports: Option<Vec<KernelPowerReport>>,
 }
 
+/// Writes one [`Frame::Events`] frame whose `count` events are already
+/// encoded, back to back, in `body` — the bytes
+/// `Frame::Events { index, events }.write_to` produces, without building
+/// the frame.
+fn write_events_frame<W: Write>(w: &mut W, index: u64, count: u64, body: &[u8]) -> io::Result<()> {
+    let len = (2 * std::mem::size_of::<u64>() + body.len()) as u64;
+    w.write_all(&TAG_EVENTS.to_le_bytes())?;
+    w.write_all(&len.to_le_bytes())?;
+    w.write_all(&index.to_le_bytes())?;
+    w.write_all(&count.to_le_bytes())?;
+    w.write_all(body)
+}
+
+/// What the in-flight entry has pending on the wire side: its events not
+/// yet sent (the body of the next [`Frame::Events`] frame, encoded as
+/// they arrive) and the first write failure, which the work loop
+/// surfaces once the entry returns.
+#[derive(Default)]
+struct Pending {
+    events: usize,
+    body: Vec<u8>,
+    failure: Option<io::Error>,
+}
+
+impl Pending {
+    fn record(&mut self, result: io::Result<()>) {
+        if let Err(e) = result {
+            self.failure.get_or_insert(e);
+        }
+    }
+}
+
 /// Forwards one in-flight entry's lifecycle onto the wire (and to the
 /// caller's local observer).
 struct WireObserver<'a, W: Write> {
     writer: &'a Mutex<W>,
     inner: &'a dyn CampaignObserver,
-    failure: Mutex<Option<io::Error>>,
+    index: u64,
+    pending: Mutex<Pending>,
 }
 
-impl<W: Write> WireObserver<'_, W> {
-    fn send(&self, frame: Frame, flush: bool) {
-        let mut w = self.writer.lock().expect("worker writer lock");
-        let result = frame.write_to(&mut *w).and_then(|()| {
-            // Entry and stage boundaries flush so the coordinator sees
-            // live progress promptly; the (much more frequent) device
-            // events ride the buffer and drain with the next flush.
-            if flush {
-                w.flush()
-            } else {
-                Ok(())
-            }
-        });
-        if let Err(e) = result {
-            let mut slot = self.failure.lock().expect("worker failure lock");
-            if slot.is_none() {
-                *slot = Some(e);
-            }
+impl<'a, W: Write> WireObserver<'a, W> {
+    fn new(writer: &'a Mutex<W>, inner: &'a dyn CampaignObserver, index: usize) -> Self {
+        WireObserver {
+            writer,
+            inner,
+            index: index as u64,
+            pending: Mutex::new(Pending::default()),
         }
+    }
+
+    fn pending(&self) -> std::sync::MutexGuard<'_, Pending> {
+        self.pending.lock().expect("worker failure lock")
+    }
+
+    /// Writes under the writer lock, flushing after when asked.
+    fn write(&self, flush: bool, write: impl FnOnce(&mut W) -> io::Result<()>) -> io::Result<()> {
+        let mut w = self.writer.lock().expect("worker writer lock");
+        write(&mut *w).and_then(|()| if flush { w.flush() } else { Ok(()) })
+    }
+
+    /// Sends the pending events as one frame (nothing when none are
+    /// pending) and empties the buffer for reuse.
+    fn send_batch(&self, pending: &mut Pending, flush: bool) {
+        if pending.events == 0 {
+            return;
+        }
+        let result = self.write(flush, |w| {
+            write_events_frame(w, self.index, pending.events as u64, &pending.body)
+        });
+        pending.events = 0;
+        pending.body.clear();
+        pending.record(result);
+    }
+
+    /// Sends whatever events the entry still has pending and returns the
+    /// first write failure. The work loop calls this before the entry's
+    /// `Done`/`Failed` (whose send flushes the writer), so every event of
+    /// an entry precedes its terminal frame.
+    fn finish(&self) -> Option<io::Error> {
+        let mut pending = self.pending();
+        self.send_batch(&mut pending, false);
+        pending.failure.take()
     }
 }
 
 impl<W: Write + Send> CampaignObserver for WireObserver<'_, W> {
     fn entry_started(&self, index: usize, label: &str) {
-        self.send(
-            Frame::Started {
-                index: index as u64,
-                label: label.to_string(),
-            },
-            true,
-        );
+        let frame = Frame::Started {
+            index: index as u64,
+            label: label.to_string(),
+        };
+        let result = self.write(true, |w| frame.write_to(w));
+        self.pending().record(result);
         self.inner.entry_started(index, label);
     }
 
     fn entry_event(&self, index: usize, event: &ProfilingEvent) {
-        let boundary = matches!(
-            event,
-            ProfilingEvent::StageStarted { .. } | ProfilingEvent::StageFinished { .. }
-        );
-        self.send(
-            Frame::Event {
-                index: index as u64,
-                event: event.clone(),
-            },
-            boundary,
-        );
+        {
+            let mut pending = self.pending();
+            let mark = pending.body.len();
+            match event.encode(&mut pending.body) {
+                Ok(()) => pending.events += 1,
+                Err(e) => {
+                    // Never ship half an event.
+                    pending.body.truncate(mark);
+                    pending.record(Err(e));
+                }
+            }
+            // A stage boundary closes its batch and flushes, so the
+            // coordinator sees live stage progress promptly; the (far
+            // more frequent) device events wait in the buffer until the
+            // next boundary, a full batch, or the end of the entry.
+            let boundary = matches!(
+                event,
+                ProfilingEvent::StageStarted { .. } | ProfilingEvent::StageFinished { .. }
+            );
+            if boundary || pending.events >= EVENT_BATCH_CAP {
+                self.send_batch(&mut pending, boundary);
+            }
+        }
         self.inner.entry_event(index, event);
     }
 
@@ -1967,14 +2098,10 @@ pub fn work<F: crate::backend::BackendFactory>(
                                 campaign.len()
                             )));
                         }
-                        let wire = WireObserver {
-                            writer: &writer,
-                            inner: observer,
-                            failure: Mutex::new(None),
-                        };
+                        let wire = WireObserver::new(&writer, observer, index);
                         let result =
                             crate::executor::profile_slot(campaign, factory, index, &wire, cancel);
-                        if let Some(e) = wire.failure.into_inner().expect("worker failure lock") {
+                        if let Some(e) = wire.finish() {
                             return Err(TransportError::Io(e));
                         }
                         match result {
@@ -2113,19 +2240,33 @@ pub enum CampaignPhase {
 
 /// One queued campaign, owned by the service thread once popped.
 struct Submission {
-    id: u64,
+    slot: Arc<CampaignSlot>,
     campaign: Campaign,
     dir: PathBuf,
     policy: ErrorPolicy,
     observer: Option<Arc<dyn CampaignObserver + Send + Sync>>,
-    cancel: CancellationToken,
 }
 
-/// Submission-order record of one campaign's lifecycle; indexed by id.
-struct ServiceRecord {
-    phase: CampaignPhase,
+/// One campaign's lifecycle, shared by its tickets and, until the
+/// campaign is done, by the service. The service lets go once it has
+/// published the outcome, so the outcome (every report of the campaign)
+/// lives exactly as long as some ticket for it does.
+struct CampaignSlot {
+    id: u64,
     cancel: CancellationToken,
+    status: Mutex<SlotStatus>,
+    done: Condvar,
+}
+
+struct SlotStatus {
+    phase: CampaignPhase,
     outcome: Option<MethodologyResult<CampaignOutcome>>,
+}
+
+impl CampaignSlot {
+    fn status(&self) -> std::sync::MutexGuard<'_, SlotStatus> {
+        self.status.lock().expect("campaign service state")
+    }
 }
 
 struct ServiceShared {
@@ -2137,7 +2278,11 @@ struct ServiceShared {
 
 struct ServiceState {
     submissions: VecDeque<Submission>,
-    records: Vec<ServiceRecord>,
+    /// Cancellation of the campaign being served, if any (queued ones
+    /// carry theirs in their submission), for the hard stop.
+    serving: Option<CancellationToken>,
+    /// Campaigns submitted so far: the next one's sequence number.
+    submitted: u64,
     draining: bool,
 }
 
@@ -2151,11 +2296,11 @@ impl ServiceShared {
 ///
 /// Clonable and sendable; any holder can watch the campaign's
 /// [`phase`](CampaignTicket::phase), [`cancel`](CampaignTicket::cancel)
-/// it, or [`wait`](CampaignTicket::wait) for its outcome.
+/// it, or [`wait`](CampaignTicket::wait) for its outcome. The outcome is
+/// freed when the last ticket for its campaign is dropped.
 #[derive(Clone)]
 pub struct CampaignTicket {
-    shared: Arc<ServiceShared>,
-    id: u64,
+    slot: Arc<CampaignSlot>,
 }
 
 impl CampaignTicket {
@@ -2165,12 +2310,12 @@ impl CampaignTicket {
     /// campaign (early arrivals are told to retry, late ones that their
     /// campaign already completed).
     pub fn sequence(&self) -> u64 {
-        self.id
+        self.slot.id
     }
 
     /// Where the campaign currently sits.
     pub fn phase(&self) -> CampaignPhase {
-        self.shared.lock().records[self.id as usize].phase
+        self.slot.status().phase
     }
 
     /// Cancels the campaign: a queued submission returns an
@@ -2178,7 +2323,7 @@ impl CampaignTicket {
     /// assigning and drains exactly like [`Coordinator::serve`] under
     /// cancellation.
     pub fn cancel(&self) {
-        self.shared.lock().records[self.id as usize].cancel.abort();
+        self.slot.cancel.abort();
     }
 
     /// Blocks until the campaign finishes and returns its outcome (the
@@ -2189,16 +2334,12 @@ impl CampaignTicket {
     ///
     /// As [`Coordinator::serve`].
     pub fn wait(&self) -> MethodologyResult<CampaignOutcome> {
-        let mut state = self.shared.lock();
+        let mut status = self.slot.status();
         loop {
-            if let Some(outcome) = &state.records[self.id as usize].outcome {
+            if let Some(outcome) = &status.outcome {
                 return outcome.clone();
             }
-            state = self
-                .shared
-                .cond
-                .wait(state)
-                .expect("campaign service state");
+            status = self.slot.done.wait(status).expect("campaign service state");
         }
     }
 }
@@ -2215,7 +2356,8 @@ impl CampaignTicket {
 /// silent-worker evictions, and worker reconnects are all absorbed by
 /// the underlying coordinator — a wedged or vanished worker can stall
 /// one campaign for at most the configured idle deadline, never the
-/// service.
+/// service. The service keeps nothing of a finished campaign: its
+/// outcome lives in its tickets.
 ///
 /// [`shutdown`](CampaignService::shutdown) drains gracefully (queued
 /// campaigns still run); dropping the service instead cancels whatever
@@ -2230,7 +2372,7 @@ impl fmt::Debug for CampaignService {
         let state = self.shared.lock();
         f.debug_struct("CampaignService")
             .field("queued", &state.submissions.len())
-            .field("campaigns", &state.records.len())
+            .field("campaigns", &state.submitted)
             .field("draining", &state.draining)
             .finish()
     }
@@ -2256,7 +2398,8 @@ impl CampaignService {
             idle: config.idle_timeout,
             state: Mutex::new(ServiceState {
                 submissions: VecDeque::new(),
-                records: Vec::new(),
+                serving: None,
+                submitted: 0,
                 draining: false,
             }),
             cond: Condvar::new(),
@@ -2299,30 +2442,29 @@ impl CampaignService {
         policy: ErrorPolicy,
         observer: Option<Arc<dyn CampaignObserver + Send + Sync>>,
     ) -> CampaignTicket {
-        let cancel = CancellationToken::new();
-        let id = {
+        let slot = {
             let mut state = self.shared.lock();
-            let id = state.records.len() as u64;
-            state.records.push(ServiceRecord {
-                phase: CampaignPhase::Queued,
-                cancel: cancel.clone(),
-                outcome: None,
+            let slot = Arc::new(CampaignSlot {
+                id: state.submitted,
+                cancel: CancellationToken::new(),
+                status: Mutex::new(SlotStatus {
+                    phase: CampaignPhase::Queued,
+                    outcome: None,
+                }),
+                done: Condvar::new(),
             });
+            state.submitted += 1;
             state.submissions.push_back(Submission {
-                id,
+                slot: Arc::clone(&slot),
                 campaign,
                 dir: dir.into(),
                 policy,
                 observer,
-                cancel,
             });
-            id
+            slot
         };
         self.shared.cond.notify_all();
-        CampaignTicket {
-            shared: Arc::clone(&self.shared),
-            id,
-        }
+        CampaignTicket { slot }
     }
 
     /// Graceful drain: already-submitted campaigns (queued or serving)
@@ -2348,8 +2490,11 @@ impl Drop for CampaignService {
         {
             let mut state = self.shared.lock();
             state.draining = true;
-            for record in &state.records {
-                record.cancel.abort();
+            for submission in &state.submissions {
+                submission.slot.cancel.abort();
+            }
+            if let Some(cancel) = &state.serving {
+                cancel.abort();
             }
         }
         self.shared.cond.notify_all();
@@ -2364,6 +2509,9 @@ fn service_loop(shared: &ServiceShared) {
             let mut state = shared.lock();
             loop {
                 if let Some(s) = state.submissions.pop_front() {
+                    // Under the same lock as the pop, so a hard stop
+                    // finds every campaign either queued or serving.
+                    state.serving = Some(s.slot.cancel.clone());
                     break s;
                 }
                 if state.draining {
@@ -2372,14 +2520,13 @@ fn service_loop(shared: &ServiceShared) {
                 state = shared.cond.wait(state).expect("campaign service state");
             }
         };
-        let id = submission.id as usize;
-        shared.lock().records[id].phase = CampaignPhase::Serving;
-        shared.cond.notify_all();
+        let slot = &submission.slot;
+        slot.status().phase = CampaignPhase::Serving;
 
         let result = match shared.listener.try_clone() {
             Ok(listener) => {
                 let coordinator = Coordinator::from_listener(listener)
-                    .sequence(submission.id)
+                    .sequence(slot.id)
                     .error_policy(submission.policy)
                     .idle_timeout(shared.idle);
                 let observer: &dyn CampaignObserver = match &submission.observer {
@@ -2390,18 +2537,20 @@ fn service_loop(shared: &ServiceShared) {
                     &submission.campaign,
                     &submission.dir,
                     observer,
-                    &submission.cancel,
+                    &slot.cancel,
                 )
             }
             Err(e) => Err(MethodologyError::from(TransportError::Io(e))),
         };
 
-        let mut state = shared.lock();
-        let record = &mut state.records[id];
-        record.outcome = Some(result);
-        record.phase = CampaignPhase::Done;
-        drop(state);
-        shared.cond.notify_all();
+        shared.lock().serving = None;
+        let mut status = slot.status();
+        status.outcome = Some(result);
+        status.phase = CampaignPhase::Done;
+        drop(status);
+        slot.done.notify_all();
+        // The submission drops here: from now on only tickets hold the
+        // outcome.
     }
 }
 
@@ -2445,15 +2594,21 @@ mod tests {
                 index: 2,
                 label: "CB-4K-GEMM".into(),
             },
-            Frame::Event {
+            Frame::Events {
                 index: 2,
-                event: ProfilingEvent::StageStarted {
-                    stage: StageKind::SspSearch,
-                },
+                events: Vec::new(),
             },
-            Frame::Event {
+            Frame::Events {
                 index: 2,
-                event: ProfilingEvent::Device(TelemetryEvent::ScriptDone { aborted: false }),
+                events: vec![
+                    ProfilingEvent::StageStarted {
+                        stage: StageKind::SspSearch,
+                    },
+                    ProfilingEvent::Device(TelemetryEvent::ScriptDone { aborted: false }),
+                    ProfilingEvent::StageFinished {
+                        stage: StageKind::SspSearch,
+                    },
+                ],
             },
             Frame::Done {
                 index: 2,
@@ -2516,6 +2671,31 @@ mod tests {
             Err(TransportError::Corrupt(_))
         ));
 
+        // The retired per-event tag is refused from its header alone.
+        let mut retired = bytes.clone();
+        retired[0..4].copy_from_slice(&RETIRED_TAG_EVENT.to_le_bytes());
+        assert!(matches!(
+            Frame::read_from(&mut &retired[..]),
+            Err(TransportError::RetiredFrame(9))
+        ));
+
+        // A batch count above the bytes that follow is rejected before
+        // it can drive allocation.
+        let mut lying = Vec::new();
+        Frame::Events {
+            index: 1,
+            events: vec![ProfilingEvent::Device(TelemetryEvent::OpFinished {
+                index: 0,
+            })],
+        }
+        .write_to(&mut lying)
+        .unwrap();
+        lying[20..28].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert!(matches!(
+            Frame::read_from(&mut &lying[..]),
+            Err(TransportError::Checkpoint(CheckpointError::Corrupt(_)))
+        ));
+
         // Trailing payload bytes are rejected.
         let mut padded = Vec::new();
         Frame::Request.write_to(&mut padded).unwrap();
@@ -2525,6 +2705,150 @@ mod tests {
             Frame::read_from(&mut &padded[..]),
             Err(TransportError::Checkpoint(CheckpointError::Corrupt(_)))
         ));
+    }
+
+    /// The worker's buffered batch writer produces exactly the bytes of
+    /// the equivalent `Frame::Events`.
+    #[test]
+    fn buffered_batches_encode_as_events_frames() {
+        let events = vec![
+            ProfilingEvent::StageStarted {
+                stage: StageKind::Calibrate,
+            },
+            ProfilingEvent::Device(TelemetryEvent::OpFinished { index: 7 }),
+        ];
+        let mut body = Vec::new();
+        for event in &events {
+            event.encode(&mut body).unwrap();
+        }
+        let mut direct = Vec::new();
+        write_events_frame(&mut direct, 5, events.len() as u64, &body).unwrap();
+        let mut framed = Vec::new();
+        Frame::Events { index: 5, events }
+            .write_to(&mut framed)
+            .unwrap();
+        assert_eq!(direct, framed);
+    }
+
+    /// Batch boundaries: a stage boundary event closes its batch, a full
+    /// buffer is sent mid-stage, and `finish` sends the rest (and nothing
+    /// when the buffer is empty). Every event arrives once, in order.
+    #[test]
+    fn wire_observer_batches_at_boundaries_and_cap() {
+        let writer = Mutex::new(Vec::new());
+        let wire = WireObserver::new(&writer, &NoopCampaignObserver, 3);
+        let device = ProfilingEvent::Device(TelemetryEvent::OpFinished { index: 1 });
+        let mut sent = vec![ProfilingEvent::StageStarted {
+            stage: StageKind::Calibrate,
+        }];
+        sent.extend(std::iter::repeat_n(device.clone(), EVENT_BATCH_CAP + 5));
+        sent.push(ProfilingEvent::StageFinished {
+            stage: StageKind::Calibrate,
+        });
+        sent.extend([device.clone(), device]);
+        for event in &sent {
+            wire.entry_event(3, event);
+        }
+        assert!(wire.finish().is_none());
+        assert!(wire.finish().is_none(), "nothing left to send");
+
+        let bytes = writer.into_inner().unwrap();
+        let mut cursor = &bytes[..];
+        let mut sizes = Vec::new();
+        let mut received = Vec::new();
+        while !cursor.is_empty() {
+            match Frame::read_from(&mut cursor).unwrap() {
+                Frame::Events { index: 3, events } => {
+                    sizes.push(events.len());
+                    received.extend(events);
+                }
+                other => panic!("expected an Events frame for entry 3, got {other:?}"),
+            }
+        }
+        assert_eq!(sizes, vec![1, EVENT_BATCH_CAP, 6, 2]);
+        assert_eq!(received, sent);
+    }
+
+    /// A long-lived service keeps no finished campaign's outcome: once
+    /// the last ticket of a campaign is gone, so is its outcome (the
+    /// service used to keep every outcome for its whole life).
+    #[test]
+    fn service_frees_outcomes_once_their_tickets_drop() {
+        use crate::runner::RunnerConfig;
+        use fingrav_sim::kernel::KernelDesc;
+        use fingrav_sim::power::Activity;
+        use fingrav_sim::time::SimDuration;
+
+        let mut campaign = Campaign::new(RunnerConfig::quick(6));
+        campaign.add(KernelDesc {
+            name: "k0".into(),
+            base_exec: SimDuration::from_micros(120),
+            freq_insensitive_frac: 0.5,
+            activity: Activity::new(0.5, 0.4, 0.3),
+            compute_utilization: 0.35,
+            flops: 1e10,
+            hbm_bytes: 1e7,
+            llc_bytes: 1e8,
+            workgroups: 128,
+        });
+        let factory = crate::backend::SimulationFactory::new(
+            fingrav_sim::config::SimConfig::default(),
+            0x7EA7,
+        );
+        let root =
+            std::env::temp_dir().join(format!("fingrav-service-retention-{}", std::process::id()));
+        let service = CampaignService::bind("127.0.0.1:0", ServiceConfig::default()).unwrap();
+        let addr = service.local_addr().unwrap();
+        let work_sequence = |sequence: u64| loop {
+            let stream = connect_with_retry(addr, Duration::from_secs(10)).unwrap();
+            let options = WorkerOptions {
+                sequence,
+                ..WorkerOptions::default()
+            };
+            match work(
+                stream,
+                &campaign,
+                &factory,
+                &NoopCampaignObserver,
+                &CancellationToken::new(),
+                &options,
+            ) {
+                Ok(summary) => return summary,
+                Err(TransportError::Denied { code, .. }) if code == DENY_SEQUENCE_EARLY => {
+                    std::thread::sleep(Duration::from_millis(10));
+                }
+                Err(e) => panic!("worker for campaign {sequence}: {e}"),
+            }
+        };
+
+        let mut finished = Vec::new();
+        for i in 0..3 {
+            let ticket = service.submit(campaign.clone(), root.join(format!("served-{i}")));
+            let outcome = std::thread::scope(|s| {
+                s.spawn(|| work_sequence(ticket.sequence()));
+                ticket.wait().unwrap()
+            });
+            assert!(outcome.is_complete(), "campaign {i} measured its entry");
+            finished.push(Arc::downgrade(&ticket.slot));
+        }
+        // A ticket dropped before its campaign is served.
+        let unwatched = service.submit(campaign.clone(), root.join("unwatched"));
+        unwatched.cancel();
+        finished.push(Arc::downgrade(&unwatched.slot));
+        drop(unwatched);
+
+        // The service serves in order, so once a later campaign is done
+        // it has let go of every earlier one.
+        let last = service.submit(campaign.clone(), root.join("last"));
+        last.cancel();
+        assert!(!last.wait().unwrap().is_complete());
+        let retained = finished.iter().filter(|w| w.strong_count() > 0).count();
+        assert_eq!(retained, 0, "outcomes of ticketless campaigns are retained");
+        // A held ticket still reads its outcome.
+        assert_eq!(last.phase(), CampaignPhase::Done);
+        assert_eq!(last.wait().unwrap().skipped, vec![0]);
+        service.shutdown();
+        std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]
@@ -2667,6 +2991,7 @@ mod tests {
             TransportError::UnsupportedVersion(9),
             TransportError::Truncated("frame payload"),
             TransportError::Corrupt("y".into()),
+            TransportError::RetiredFrame(9),
             TransportError::DigestMismatch {
                 expected: 1,
                 found: 2,

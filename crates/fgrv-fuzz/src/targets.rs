@@ -26,6 +26,8 @@ use fingrav_core::store::{ProfileStore, ProfileStoreView};
 use fingrav_core::transport::{read_next_frame, read_preamble, write_preamble, Frame};
 use fingrav_core::{ProfilePoint, ProfilingEvent, StageKind};
 use fingrav_sim::power::ComponentPower;
+use fingrav_sim::script::HostOp;
+use fingrav_sim::session::TelemetryEvent;
 
 use crate::corpus::taxonomy_hash;
 
@@ -42,7 +44,7 @@ pub enum Target {
     CkptEntry,
     /// `FGRVCKPT` stage section: [`StageCheckpoint::from_bytes`].
     CkptStage,
-    /// `FGRVWIRE` v2 stream: [`Frame::read_from`] loop vs the budgeted
+    /// `FGRVWIRE` v3 stream: [`Frame::read_from`] loop vs the budgeted
     /// [`read_next_frame`] path over a stalling reader.
     Wire,
 }
@@ -84,7 +86,7 @@ pub const TARGETS: [TargetInfo; 5] = [
     TargetInfo {
         name: "wire",
         target: Target::Wire,
-        description: "FGRVWIRE v2 stream: plain frame loop vs budgeted heartbeat-skipping reader",
+        description: "FGRVWIRE v3 stream: plain frame loop vs budgeted heartbeat-skipping reader",
     },
 ];
 
@@ -127,6 +129,51 @@ fn seed_stream(frames: &[Frame]) -> Vec<u8> {
         frame.write_to(&mut out).expect("vec write");
     }
     out
+}
+
+/// A batch of every event shape a stage emits: its boundaries around
+/// device events of several kinds.
+fn seed_events() -> Vec<ProfilingEvent> {
+    vec![
+        ProfilingEvent::StageStarted {
+            stage: StageKind::Calibrate,
+        },
+        ProfilingEvent::Device(TelemetryEvent::ScriptStarted { ops: 3 }),
+        ProfilingEvent::Device(TelemetryEvent::OpStarted {
+            index: 0,
+            op: HostOp::ReadGpuTimestamp,
+        }),
+        ProfilingEvent::Device(TelemetryEvent::OpFinished { index: 0 }),
+        ProfilingEvent::Device(TelemetryEvent::ScriptDone { aborted: false }),
+        ProfilingEvent::StageFinished {
+            stage: StageKind::Calibrate,
+        },
+    ]
+}
+
+/// A stream holding one `Events` frame whose event count is `claimed`
+/// whatever the payload carries — the shape of a peer that lies about
+/// its batch size.
+fn seed_miscounted_batch(claimed: u64) -> Vec<u8> {
+    let mut stream = seed_stream(&[Frame::Events {
+        index: 1,
+        events: seed_events(),
+    }]);
+    // Preamble (16), tag (4), length (8), index (8), then the count.
+    stream[36..44].copy_from_slice(&claimed.to_le_bytes());
+    stream
+}
+
+/// A stream holding one frame with the retired v2 `Event` tag (9) and
+/// the payload a v2 peer would have sent with it.
+fn seed_retired_event_frame() -> Vec<u8> {
+    let mut payload = 4u64.to_le_bytes().to_vec();
+    payload.extend_from_slice(&[0, 0]); // StageStarted { Calibrate }
+    let mut stream = seed_stream(&[]);
+    stream.extend_from_slice(&9u32.to_le_bytes());
+    stream.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    stream.extend_from_slice(&payload);
+    stream
 }
 
 /// The built-in seed corpus for `target`: a handful of valid encodings
@@ -177,11 +224,9 @@ pub fn seeds(target: Target) -> Vec<Vec<u8>> {
                         index: 4,
                         label: "CB-4K-GEMM".to_string(),
                     },
-                    Frame::Event {
+                    Frame::Events {
                         index: 4,
-                        event: ProfilingEvent::StageStarted {
-                            stage: StageKind::Calibrate,
-                        },
+                        events: seed_events(),
                     },
                     Frame::Done {
                         index: 4,
@@ -196,6 +241,26 @@ pub fn seeds(target: Target) -> Vec<Vec<u8>> {
                     Frame::Bye,
                     Frame::Heartbeat,
                 ]),
+                seed_stream(&[Frame::Events {
+                    index: 0,
+                    events: Vec::new(),
+                }]),
+                seed_stream(&[
+                    Frame::Events {
+                        index: 2,
+                        events: seed_events(),
+                    },
+                    Frame::Heartbeat,
+                    Frame::Events {
+                        index: 2,
+                        events: seed_events(),
+                    },
+                ]),
+                // Overstated by far more than the payload holds, and by
+                // one event more than it carries.
+                seed_miscounted_batch(1 << 40),
+                seed_miscounted_batch(seed_events().len() as u64 + 1),
+                seed_retired_event_frame(),
             ]
         }
     };
@@ -492,6 +557,8 @@ fn run_wire(input: &[u8]) -> Result<Taxonomy, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fingrav_core::checkpoint::CheckpointError;
+    use fingrav_core::transport::TransportError;
 
     #[test]
     fn every_seed_passes_its_own_oracle() {
@@ -510,6 +577,37 @@ mod tests {
             assert_eq!(find(info.name), Some(info.target));
         }
         assert_eq!(find("nope"), None);
+    }
+
+    /// The v3 batch seeds reach the decoder branches they were written
+    /// for: an empty batch decodes, a lying count and the retired tag are
+    /// typed rejections.
+    #[test]
+    fn wire_batch_seeds_decode_as_intended() {
+        let first_frame = |stream: &[u8]| {
+            let mut r = &stream[16..];
+            Frame::read_from(&mut r)
+        };
+        let empty = seed_stream(&[Frame::Events {
+            index: 0,
+            events: Vec::new(),
+        }]);
+        assert!(matches!(
+            first_frame(&empty),
+            Ok(Frame::Events { index: 0, events }) if events.is_empty()
+        ));
+        assert!(matches!(
+            first_frame(&seed_miscounted_batch(1 << 40)),
+            Err(TransportError::Checkpoint(CheckpointError::Corrupt(_)))
+        ));
+        assert!(matches!(
+            first_frame(&seed_miscounted_batch(seed_events().len() as u64 + 1)),
+            Err(TransportError::Truncated(_))
+        ));
+        assert!(matches!(
+            first_frame(&seed_retired_event_frame()),
+            Err(TransportError::RetiredFrame(9))
+        ));
     }
 
     #[test]

@@ -76,9 +76,10 @@ fn formats_spec_cites_the_shipped_constants() {
     for (magic, version, expected) in [
         (STORE_MAGIC, STORE_VERSION, 1),
         (CKPT_MAGIC, CKPT_VERSION, 1),
-        // The wire moved to v2 when the Heartbeat frame landed; the
-        // store and checkpoint encodings are unchanged.
-        (WIRE_MAGIC, WIRE_VERSION, 2),
+        // The wire moved to v2 when the Heartbeat frame landed and to
+        // v3 when batched Events replaced the per-event frame; the store
+        // and checkpoint encodings are unchanged.
+        (WIRE_MAGIC, WIRE_VERSION, 3),
     ] {
         let name = std::str::from_utf8(&magic).unwrap();
         assert!(spec.contains(name), "spec must name the `{name}` magic");
@@ -266,7 +267,8 @@ fn fgrvwire_frame_layout_matches_the_spec() {
 }
 
 /// The transport-hardening claims stay in the docs: FORMATS.md must
-/// carry the v2 heartbeat frame row and the deadline fault rules, and
+/// carry the v2 heartbeat frame row, the deadline fault rules and the
+/// v3 batch-boundary rule, and
 /// ARCHITECTURE.md must describe the campaign service the daemon mode
 /// is built on.
 #[test]
@@ -274,6 +276,8 @@ fn transport_hardening_sections_match_the_code() {
     let spec = read_doc("FORMATS.md");
     for phrase in [
         "`Heartbeat`",
+        "`Events`",
+        "Batch-boundary rule (v3)",
         "Deadline rule (v2)",
         "byte-silence",
         "idle_timeout",

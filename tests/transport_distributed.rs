@@ -4,18 +4,21 @@
 //! every path must end in artifacts byte-identical to a single-node
 //! serial run.
 
+use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Mutex;
 use std::time::Duration;
 
-use fingrav::core::backend::{FnBackendFactory, SimulationFactory};
+use fingrav::core::backend::{BackendFactory, FnBackendFactory, PowerBackend, SimulationFactory};
 use fingrav::core::campaign::{Campaign, CampaignReport};
 use fingrav::core::checkpoint::{gather, CheckpointDir};
-use fingrav::core::error::MethodologyError;
+use fingrav::core::error::{MethodologyError, MethodologyResult};
 use fingrav::core::executor::{
     CampaignExecutor, CampaignObserver, CancellationToken, ErrorPolicy, NoopCampaignObserver,
 };
+use fingrav::core::observe::ProfilingEvent;
 use fingrav::core::profile::ProfileAxis;
 use fingrav::core::report::profile_to_csv;
 use fingrav::core::runner::{KernelPowerReport, RunnerConfig};
@@ -26,9 +29,12 @@ use fingrav::core::transport::{
 };
 use fingrav::sim::config::SimConfig;
 use fingrav::sim::engine::Simulation;
-use fingrav::sim::kernel::KernelDesc;
+use fingrav::sim::kernel::{KernelDesc, KernelHandle};
 use fingrav::sim::power::Activity;
+use fingrav::sim::script::Script;
+use fingrav::sim::session::{AbortHandle, TelemetrySink};
 use fingrav::sim::time::SimDuration;
+use fingrav::sim::trace::RunTrace;
 
 fn kernel(name: &str, us: u64, xcd: f64) -> KernelDesc {
     KernelDesc {
@@ -45,7 +51,11 @@ fn kernel(name: &str, us: u64, xcd: f64) -> KernelDesc {
 }
 
 fn campaign_of(n: usize) -> Campaign {
-    let mut campaign = Campaign::new(RunnerConfig::quick(6));
+    campaign_with_runs(6, n)
+}
+
+fn campaign_with_runs(runs: u32, n: usize) -> Campaign {
+    let mut campaign = Campaign::new(RunnerConfig::quick(runs));
     for i in 0..n {
         campaign.add(kernel(
             &format!("k{i}"),
@@ -1009,5 +1019,255 @@ fn persistent_service_serves_campaigns_back_to_back() {
         &csvs_b,
         "second campaign through the service",
     );
+    std::fs::remove_dir_all(&root).unwrap();
+}
+
+/// One lifecycle callback an observer received, in arrival order.
+#[derive(Debug, Clone, PartialEq)]
+enum Seen {
+    Started(String),
+    Event(ProfilingEvent),
+    Finished,
+    Failed(String),
+}
+
+/// Records every entry's callbacks, per entry, in arrival order.
+#[derive(Default)]
+struct Recorder {
+    entries: Mutex<BTreeMap<usize, Vec<Seen>>>,
+}
+
+impl Recorder {
+    fn push(&self, index: usize, seen: Seen) {
+        self.entries
+            .lock()
+            .unwrap()
+            .entry(index)
+            .or_default()
+            .push(seen);
+    }
+
+    fn take(self) -> BTreeMap<usize, Vec<Seen>> {
+        self.entries.into_inner().unwrap()
+    }
+}
+
+impl CampaignObserver for Recorder {
+    fn entry_started(&self, index: usize, label: &str) {
+        self.push(index, Seen::Started(label.to_string()));
+    }
+    fn entry_event(&self, index: usize, event: &ProfilingEvent) {
+        self.push(index, Seen::Event(event.clone()));
+    }
+    fn entry_finished(&self, index: usize, _report: &KernelPowerReport) {
+        self.push(index, Seen::Finished);
+    }
+    fn entry_failed(&self, index: usize, error: &MethodologyError) {
+        self.push(index, Seen::Failed(error.to_string()));
+    }
+}
+
+/// Asserts one entry's sequence is well formed: `Started` first, one
+/// terminal callback last, and stage brackets that open and close in
+/// order around the device events (a failed entry may leave its last
+/// stage open).
+fn assert_well_formed(index: usize, seen: &[Seen]) {
+    assert!(
+        matches!(seen.first(), Some(Seen::Started(_))),
+        "entry {index}: first callback is not entry_started"
+    );
+    let last = seen.last().expect("entry has callbacks");
+    assert!(
+        matches!(last, Seen::Finished | Seen::Failed(_)),
+        "entry {index}: every event must precede the terminal callback"
+    );
+    let mut open = None;
+    for item in &seen[1..seen.len() - 1] {
+        match item {
+            Seen::Event(ProfilingEvent::StageStarted { stage }) => {
+                assert_eq!(open, None, "entry {index}: nested stage");
+                open = Some(*stage);
+            }
+            Seen::Event(ProfilingEvent::StageFinished { stage }) => {
+                assert_eq!(open, Some(*stage), "entry {index}: unmatched stage end");
+                open = None;
+            }
+            Seen::Event(ProfilingEvent::Device(_)) => {
+                assert!(
+                    open.is_some(),
+                    "entry {index}: device event outside a stage"
+                );
+            }
+            other => panic!("entry {index}: {other:?} inside the event stream"),
+        }
+    }
+    if matches!(last, Seen::Finished) {
+        assert_eq!(open, None, "entry {index}: stage left open");
+    }
+}
+
+/// Serves `campaign` to `workers` loopback workers and returns what the
+/// coordinator's observer saw, per entry.
+fn served_sequences<F: BackendFactory>(
+    campaign: &Campaign,
+    factory: &F,
+    workers: usize,
+    dir: &std::path::Path,
+) -> BTreeMap<usize, Vec<Seen>> {
+    let coordinator = Coordinator::bind("127.0.0.1:0")
+        .unwrap()
+        .error_policy(ErrorPolicy::CollectAll);
+    let addr = coordinator.local_addr().unwrap();
+    let recorder = Recorder::default();
+    std::thread::scope(|s| {
+        for _ in 0..workers {
+            s.spawn(|| {
+                let stream = TcpStream::connect(addr).unwrap();
+                work(
+                    stream,
+                    campaign,
+                    factory,
+                    &NoopCampaignObserver,
+                    &CancellationToken::new(),
+                    &WorkerOptions::default(),
+                )
+                .unwrap();
+            });
+        }
+        coordinator
+            .serve(campaign, dir, &recorder, &CancellationToken::new())
+            .unwrap();
+    });
+    recorder.take()
+}
+
+/// What a local executor's observer sees, per entry.
+fn local_sequences<F: BackendFactory>(
+    campaign: &Campaign,
+    factory: &F,
+) -> BTreeMap<usize, Vec<Seen>> {
+    let recorder = Recorder::default();
+    CampaignExecutor::serial()
+        .error_policy(ErrorPolicy::CollectAll)
+        .execute_observed(campaign, factory, &recorder, &CancellationToken::new());
+    recorder.take()
+}
+
+/// Device events cross the wire in batches, but a coordinator-side
+/// observer still sees, per entry, exactly the callback sequence a local
+/// observer sees: the same events in the same order, stage brackets
+/// intact, all of them before `entry_finished`.
+#[test]
+fn batched_events_arrive_in_local_order() {
+    // Enough runs that collect-runs outgrows one batch.
+    let campaign = campaign_with_runs(150, 4);
+    let root = temp_root("event-order");
+    let served = served_sequences(&campaign, &factory(), 2, &root.join("served"));
+    let local = local_sequences(&campaign, &factory());
+    assert_eq!(served.len(), campaign.len());
+    for (index, seen) in &served {
+        assert_well_formed(*index, seen);
+        assert!(matches!(seen.last(), Some(Seen::Finished)));
+        assert!(
+            seen == &local[index],
+            "entry {index}: served sequence ({} callbacks) differs from the local one ({})",
+            seen.len(),
+            local[index].len()
+        );
+    }
+    // A stage long enough to fill several batches rides through too.
+    let longest_stage = served
+        .values()
+        .flat_map(|seen| {
+            seen.split(|s| {
+                matches!(
+                    s,
+                    Seen::Event(
+                        ProfilingEvent::StageStarted { .. } | ProfilingEvent::StageFinished { .. }
+                    )
+                )
+            })
+        })
+        .map(<[Seen]>::len)
+        .max()
+        .unwrap_or(0);
+    assert!(
+        longest_stage > 4096,
+        "the campaign must exercise a mid-stage batch (longest stage: {longest_stage} events)"
+    );
+    std::fs::remove_dir_all(&root).unwrap();
+}
+
+/// A simulator whose `fail_at`-th script (0-based) fails with a backend
+/// error, mid-stage, after earlier scripts streamed their events.
+struct FailingScript {
+    sim: Simulation,
+    scripts: usize,
+    fail_at: usize,
+}
+
+impl PowerBackend for FailingScript {
+    fn register_kernel(&mut self, desc: &KernelDesc) -> MethodologyResult<KernelHandle> {
+        PowerBackend::register_kernel(&mut self.sim, desc)
+    }
+
+    fn run_script_observed(
+        &mut self,
+        script: &Script,
+        sink: &mut dyn TelemetrySink,
+        abort: &AbortHandle,
+    ) -> MethodologyResult<RunTrace> {
+        self.scripts += 1;
+        if self.scripts > self.fail_at {
+            return Err(MethodologyError::Backend("device lost mid-stage".into()));
+        }
+        PowerBackend::run_script_observed(&mut self.sim, script, sink, abort)
+    }
+
+    fn logger_window(&self) -> SimDuration {
+        PowerBackend::logger_window(&self.sim)
+    }
+
+    fn coarse_logger_window(&self) -> SimDuration {
+        PowerBackend::coarse_logger_window(&self.sim)
+    }
+
+    fn gpu_counter_hz(&self) -> f64 {
+        PowerBackend::gpu_counter_hz(&self.sim)
+    }
+}
+
+/// A methodology failure mid-stage: the events the worker still had
+/// buffered reach the coordinator's observer before `entry_failed`, in
+/// the order a local observer sees them.
+#[test]
+fn buffered_events_precede_a_methodology_failure() {
+    let campaign = campaign_of(2);
+    let root = temp_root("event-failure");
+    let failing = FnBackendFactory(|i: usize| {
+        let sim = factory().create(i)?;
+        Ok(FailingScript {
+            sim,
+            scripts: 0,
+            fail_at: if i == 1 { 3 } else { usize::MAX },
+        })
+    });
+    let served = served_sequences(&campaign, &failing, 1, &root.join("served"));
+    let local = local_sequences(&campaign, &failing);
+    assert_eq!(served, local);
+    let seen = &served[&1];
+    assert_well_formed(1, seen);
+    assert!(
+        matches!(seen.last(), Some(Seen::Failed(why)) if why.contains("device lost")),
+        "entry 1 must end in its methodology failure"
+    );
+    // The event right before the failure is a device event: it was
+    // still buffered (no stage boundary had flushed it) when the entry
+    // failed.
+    assert!(
+        matches!(seen[seen.len() - 2], Seen::Event(ProfilingEvent::Device(_))),
+        "the failure must land mid-stage, after buffered device events"
+    );
+    assert!(matches!(served[&0].last(), Some(Seen::Finished)));
     std::fs::remove_dir_all(&root).unwrap();
 }
