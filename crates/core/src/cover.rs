@@ -76,11 +76,8 @@ cover_sites! {
     CKPT_KIND_BAD_TAG,
     CKPT_STATUS_BAD_TAG,
     CKPT_HANDLE_IMPLAUSIBLE,
-    CKPT_BIN_BAD_MEMBER,
-    CKPT_BINNING_BAD_GOLDEN,
     CKPT_MANIFEST_OK,
     CKPT_ENTRY_OK,
-    CKPT_STAGE_OK,
     CKPT_ENTRY_VIEW_OK,
     // FGRVWIRE: preamble and frame reader (transport.rs).
     WIRE_PREAMBLE_BAD_MAGIC,

@@ -680,14 +680,8 @@ impl PersistingObserver<'_> {
         // value-equality) and the write — no report clone, no re-decode.
         let bytes = crate::checkpoint::encode_entry_bytes(index as u32, digest, report);
         for (old_shard, path) in &self.preexisting[index] {
-            let old = crate::mmap::MappedProfile::open(path)?;
-            crate::checkpoint::verify_duplicate_bytes(
-                index,
-                *old_shard,
-                old.bytes(),
-                shard,
-                &bytes,
-            )?;
+            let old = std::fs::read(path)?;
+            crate::checkpoint::verify_duplicate_bytes(index, *old_shard, &old, shard, &bytes)?;
         }
         self.dir.write_entry_bytes(shard, index, &bytes)?;
         let mut state = self.state.lock().expect("manifest lock");

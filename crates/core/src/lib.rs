@@ -40,10 +40,7 @@
 //! # }
 //! ```
 
-// The only unsafe lives in `mmap.rs`; unsafe operations inside unsafe
-// fns must still be scoped in explicit blocks with their own SAFETY
-// comments (audited by `fgrv-lint`).
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
@@ -59,7 +56,6 @@ pub mod error;
 pub mod executor;
 pub mod guidance;
 pub mod insights;
-pub mod mmap;
 pub mod observe;
 pub mod outliers;
 pub mod phases;
@@ -81,12 +77,10 @@ pub use campaign::{Campaign, CampaignEntry, CampaignReport};
 pub use checkpoint::{
     campaign_digest, gather, gather_stores, CampaignManifest, CheckpointDir, CheckpointError,
     EntryArtifact, EntryArtifactView, EntryStatus, GatheredCampaign, GatheredStores, ManifestEntry,
-    StageCheckpoint,
 };
 pub use error::{MethodologyError, MethodologyResult};
 pub use executor::{CampaignExecutor, CampaignObserver, CampaignOutcome, ErrorPolicy};
 pub use guidance::{GuidanceEntry, GuidanceTable};
-pub use mmap::MappedProfile;
 pub use observe::{ProfilingEvent, ProfilingSink, StageKind};
 pub use profile::{PowerAxis, PowerProfile, ProfileAxis, ProfileKind, ProfilePoint};
 pub use runner::{FingravRunner, KernelPowerReport, LoggerChoice, RunnerConfig};

@@ -16,10 +16,10 @@
 //!
 //! Staging serves two purposes. First, each stage is testable and reusable
 //! in isolation (the binning and stitching stages are pure functions over
-//! collected runs). Second, a stage boundary is a natural checkpoint: a
-//! future resumable or distributed runner can persist artifacts between
-//! stages and hand shards to different workers, which is how the
-//! [`crate::executor::CampaignExecutor`] parallelizes whole kernels today.
+//! collected runs). Second, the typed artifacts make every hand-off
+//! explicit. They pass between stages in memory only: the
+//! [`crate::executor::CampaignExecutor`] parallelizes, persists, and
+//! resumes whole kernels, never a kernel part-way through its stages.
 //!
 //! Every stage drives the backend through the same call sequence the
 //! monolith used, so profiles produced by the staged pipeline are

@@ -15,10 +15,10 @@
 //!   56-byte structs ([`ProfileStore::argsort_by_axis`],
 //!   [`ProfileStore::indices_where`], [`ProfileStore::select`]);
 //! * the whole store maps 1:1 onto a raw little-endian on-disk layout
-//!   ([`ProfileStore::write_to`] / [`ProfileStore::read_from`]) that a
-//!   future mmap-backed or cross-process campaign shard can adopt
-//!   unchanged, and two persisted stores diff column-wise without
-//!   materializing points ([`ProfileStore::diff`]).
+//!   ([`ProfileStore::write_to`] / [`ProfileStore::read_from`]) that
+//!   checkpoint entries and wire frames embed unchanged, and two
+//!   persisted stores diff column-wise without materializing points
+//!   ([`ProfileStore::diff`]).
 //!
 //! Invalid slots (points that fell outside any execution) are stored
 //! *canonically zeroed* — `exec_pos = 0`, `toi_ns = 0.0` wherever the

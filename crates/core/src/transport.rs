@@ -1571,14 +1571,8 @@ fn entry_done(
     // same tampered file).
     let duplicates_ok = (|| -> Result<(), CheckpointError> {
         for (old_shard, path) in &shared.preexisting[index] {
-            let old = crate::mmap::MappedProfile::open(path)?;
-            crate::checkpoint::verify_duplicate_bytes(
-                index,
-                *old_shard,
-                old.bytes(),
-                shard,
-                bytes,
-            )?;
+            let old = std::fs::read(path)?;
+            crate::checkpoint::verify_duplicate_bytes(index, *old_shard, &old, shard, bytes)?;
         }
         Ok(())
     })();

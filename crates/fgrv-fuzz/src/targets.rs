@@ -19,9 +19,7 @@
 use std::io::{self, Read};
 use std::time::Duration;
 
-use fingrav_core::checkpoint::{
-    CampaignManifest, EntryArtifact, EntryArtifactView, StageCheckpoint,
-};
+use fingrav_core::checkpoint::{CampaignManifest, EntryArtifact, EntryArtifactView};
 use fingrav_core::store::{ProfileStore, ProfileStoreView};
 use fingrav_core::transport::{read_next_frame, read_preamble, write_preamble, Frame};
 use fingrav_core::{ProfilePoint, ProfilingEvent, StageKind};
@@ -42,8 +40,6 @@ pub enum Target {
     /// `FGRVCKPT` entry section: [`EntryArtifact::from_bytes`] vs
     /// [`EntryArtifactView::parse`].
     CkptEntry,
-    /// `FGRVCKPT` stage section: [`StageCheckpoint::from_bytes`].
-    CkptStage,
     /// `FGRVWIRE` v3 stream: [`Frame::read_from`] loop vs the budgeted
     /// [`read_next_frame`] path over a stalling reader.
     Wire,
@@ -62,7 +58,7 @@ pub struct TargetInfo {
 
 /// Every shipped fuzz target. `docs/FUZZING.md`'s table mirrors this
 /// row for row (pinned by `tests/docs_spec.rs`).
-pub const TARGETS: [TargetInfo; 5] = [
+pub const TARGETS: [TargetInfo; 4] = [
     TargetInfo {
         name: "prof",
         target: Target::Prof,
@@ -77,11 +73,6 @@ pub const TARGETS: [TargetInfo; 5] = [
         name: "ckpt-entry",
         target: Target::CkptEntry,
         description: "FGRVCKPT entry section: owned decode vs zero-copy view, round trip",
-    },
-    TargetInfo {
-        name: "ckpt-stage",
-        target: Target::CkptStage,
-        description: "FGRVCKPT stage section: decode + re-encode round trip",
     },
     TargetInfo {
         name: "wire",
@@ -192,9 +183,6 @@ pub fn seeds(target: Target) -> Vec<Vec<u8>> {
         Target::CkptEntry => {
             vec![include_bytes!("../../../tests/data/golden_entry.fgrvckpt").to_vec()]
         }
-        Target::CkptStage => {
-            vec![include_bytes!("../../../tests/data/golden_stage.fgrvckpt").to_vec()]
-        }
         Target::Wire => {
             let artifact = include_bytes!("../../../tests/data/golden_entry.fgrvckpt").to_vec();
             vec![
@@ -289,7 +277,6 @@ pub fn execute(target: Target, input: &[u8]) -> Result<Taxonomy, String> {
         Target::Prof => run_prof(input),
         Target::CkptManifest => run_manifest(input),
         Target::CkptEntry => run_entry(input),
-        Target::CkptStage => run_stage(input),
         Target::Wire => run_wire(input),
     }
 }
@@ -357,48 +344,24 @@ fn run_prof(input: &[u8]) -> Result<Taxonomy, String> {
     }
 }
 
-/// Decode + round-trip oracle shared by the manifest and stage sections
-/// (single-decoder targets). Value equality is checked through the
+/// Decode + round-trip oracle for the manifest section (a
+/// single-decoder target). Value equality is checked through the
 /// canonical encoding — bit-exact, so decoded NaN payloads equal
 /// themselves where derived `PartialEq` would not.
-fn run_roundtrip<T, E>(
-    input: &[u8],
-    what: &str,
-    decode: impl Fn(&[u8]) -> Result<T, E>,
-    encode: impl Fn(&T) -> Vec<u8>,
-) -> Result<Taxonomy, String>
-where
-    E: std::fmt::Debug,
-{
-    match decode(input) {
-        Ok(value) => {
-            let bytes = encode(&value);
-            match decode(&bytes) {
-                Ok(again) if encode(&again) == bytes => Ok(Vec::new()),
-                Ok(_) => Err(format!("{what} re-decode drifted from the original")),
-                Err(e) => Err(format!("{what} re-encode failed to decode: {e:?}")),
+fn run_manifest(input: &[u8]) -> Result<Taxonomy, String> {
+    match CampaignManifest::from_bytes(input) {
+        Ok(manifest) => {
+            let bytes = manifest.to_bytes();
+            match CampaignManifest::from_bytes(&bytes) {
+                Ok(again) if again.to_bytes() == bytes => Ok(Vec::new()),
+                Ok(_) => Err("FGRVCKPT manifest re-decode drifted from the original".to_string()),
+                Err(e) => Err(format!(
+                    "FGRVCKPT manifest re-encode failed to decode: {e:?}"
+                )),
             }
         }
         Err(e) => Ok(vec![hash_err(&e)]),
     }
-}
-
-fn run_manifest(input: &[u8]) -> Result<Taxonomy, String> {
-    run_roundtrip(
-        input,
-        "FGRVCKPT manifest",
-        CampaignManifest::from_bytes,
-        CampaignManifest::to_bytes,
-    )
-}
-
-fn run_stage(input: &[u8]) -> Result<Taxonomy, String> {
-    run_roundtrip(
-        input,
-        "FGRVCKPT stage",
-        StageCheckpoint::from_bytes,
-        StageCheckpoint::to_bytes,
-    )
 }
 
 fn run_entry(input: &[u8]) -> Result<Taxonomy, String> {

@@ -2,9 +2,10 @@
 //!
 //! FinGraV's value is trustworthy fine-grain power data. The repo holds
 //! three versioned untrusted-input codecs (`FGRVPROF`/`FGRVCKPT`/
-//! `FGRVWIRE`), an unsafe mmap read path, and lock-free cancellation
-//! flags spread across crates — correctness that tests exercise but
-//! nothing *enforces*. This tool machine-checks those conventions as
+//! `FGRVWIRE`), test and fuzz counting allocators behind reviewed
+//! `unsafe`, and lock-free cancellation flags spread across crates —
+//! correctness that tests exercise but nothing *enforces*. This tool
+//! machine-checks those conventions as
 //! deny-by-default diagnostics:
 //!
 //! * **codec-hygiene** — decoder modules must be panic-free on
@@ -133,7 +134,7 @@ impl Config {
             registry_path: root.join("unsafe-registry.toml"),
             formats_doc: root.join("docs/FORMATS.md"),
             fixture_data: root.join("tests/data"),
-            decoder_patterns: ["store/", "checkpoint.rs", "transport.rs", "mmap.rs"]
+            decoder_patterns: ["store/", "checkpoint.rs", "transport.rs"]
                 .iter()
                 .map(|s| s.to_string())
                 .collect(),

@@ -48,7 +48,7 @@ fn diag(ctx: &FileCtx<'_>, rule: &'static str, line: usize, message: String) -> 
 // Rule 1: codec hygiene
 // ---------------------------------------------------------------------
 
-/// In decoder modules (profile store, checkpoint, transport, mmap),
+/// In decoder modules (profile store, checkpoint, transport),
 /// non-test code must stay panic-free on untrusted input: no
 /// `unwrap`/`expect`/`panic!`/`unreachable!`, no direct slice indexing,
 /// and no truncating `as` casts on length-derived values — the bounded

@@ -117,7 +117,8 @@ fn trailing_bytes_rejected_identically() {
 }
 
 /// Feeding a valid file of the wrong section kind to the view is
-/// `Corrupt`, exactly as on the owned path.
+/// `Corrupt`, exactly as on the owned path. So is a header carrying the
+/// retired section tag 3, which no reader accepts.
 #[test]
 fn wrong_section_rejected_identically() {
     let manifest_bytes = common::golden_manifest().to_bytes();
@@ -136,6 +137,26 @@ fn wrong_section_rejected_identically() {
         CampaignManifest::from_bytes(&entry_bytes),
         Err(CheckpointError::Corrupt(_))
     ));
+
+    let mut retired = entry_bytes;
+    retired[12..16].copy_from_slice(&3u32.to_le_bytes());
+    assert!(matches!(
+        CampaignManifest::from_bytes(&retired),
+        Err(CheckpointError::Corrupt(_))
+    ));
+    assert!(matches!(
+        EntryArtifact::from_bytes(&retired),
+        Err(CheckpointError::Corrupt(_))
+    ));
+    assert!(matches!(
+        EntryArtifactView::parse(&retired),
+        Err(CheckpointError::Corrupt(_))
+    ));
+    assert_same_outcome(
+        EntryArtifact::from_bytes(&retired),
+        via_view(&retired),
+        "retired section tag 3",
+    );
 }
 
 /// An absurd label-length field (offset 28: 16-byte header + index +

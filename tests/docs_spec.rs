@@ -124,7 +124,6 @@ fn golden_fixture_headers_match_the_spec() {
     for (file, section) in [
         ("golden_manifest.fgrvckpt", 1u32),
         ("golden_entry.fgrvckpt", 2u32),
-        ("golden_stage.fgrvckpt", 3u32),
     ] {
         let path = repo_root().join("tests/data").join(file);
         let bytes = std::fs::read(&path)

@@ -2,12 +2,11 @@
 //! kernel agrees bit-for-bit with the owned `ProfileStore` on random
 //! stores; the CSV render through the view is byte-identical to the
 //! owned render; `extend_from_view` equals the copy-then-merge path;
-//! mmapped files decode identically to in-memory buffers; and damaged
-//! encodings (truncations, bit flips, stray bitmap bits, non-canonical
-//! slots, trailing bytes) fail with the *same* typed error on the view
-//! path as on the owned decoder — never a panic, never a wrong store.
+//! and damaged encodings (truncations, bit flips, stray bitmap bits,
+//! non-canonical slots, trailing bytes) fail with the *same* typed error
+//! on the view path as on the owned decoder — never a panic, never a
+//! wrong store.
 
-use fingrav::core::mmap::MappedProfile;
 use fingrav::core::profile::ProfileAxis;
 use fingrav::core::report::{columns_to_csv, view_to_csv};
 use fingrav::core::store::{ProfileStore, ProfileStoreView, StoreCodecError};
@@ -293,40 +292,4 @@ fn implausible_length_rejected_without_allocation() {
         ProfileStore::from_bytes(&bytes),
         Err(StoreCodecError::Truncated(_))
     ));
-}
-
-// ---------------------------------------------------------------------
-// mmap path: a mapped file serves the identical view
-// ---------------------------------------------------------------------
-
-#[test]
-fn mmapped_file_decodes_identically_to_buffer() {
-    let store = build_store(
-        &[0, 1, 2, 3, 4],
-        &[1.5, -2.5, 3.5, -4.5, 5.5],
-        &[1, 2, 3, 4, 5],
-    );
-    let bytes = store.to_bytes();
-    let path = std::env::temp_dir().join(format!("fingrav-view-test-{}.fgrv", std::process::id()));
-    std::fs::write(&path, &bytes).expect("scratch file writes");
-
-    let mapped = MappedProfile::open(&path).expect("maps");
-    assert_eq!(mapped.bytes(), &bytes[..]);
-    let view = mapped.view().expect("mapped bytes decode");
-    assert_eq!(view.to_store(), store);
-    assert!(store.diff_view(&view).is_identical());
-
-    // Damage on disk surfaces the same typed error through the map.
-    let mut damaged = bytes.clone();
-    damaged.truncate(damaged.len() - 3);
-    std::fs::write(&path, &damaged).expect("scratch file rewrites");
-    let remapped = MappedProfile::open(&path).expect("maps");
-    assert!(matches!(
-        remapped.view(),
-        Err(StoreCodecError::Truncated("validity bitmap"))
-    ));
-
-    drop(mapped);
-    drop(remapped);
-    std::fs::remove_file(&path).ok();
 }
