@@ -1,7 +1,8 @@
 //! Regenerates every paper table and figure in one invocation, writing all
-//! artefacts to the output directory (default `results/`). Experiments run
-//! in parallel, one OS thread per artefact, since each owns an independent
-//! simulation.
+//! artefacts to the output directory (default `results/`). The artefacts'
+//! binaries run in parallel, one child process each, and every child
+//! spreads its own experiment's independent simulations across
+//! `--workers` threads as well.
 
 use std::time::Instant;
 

@@ -17,9 +17,9 @@ use fingrav_sim::kernel::{KernelDesc, KernelHandle};
 use fingrav_sim::power::{Activity, Component, ComponentPower};
 use fingrav_sim::script::Script;
 use fingrav_sim::time::SimDuration;
-use fingrav_workloads::suite::{self, SuiteClass};
+use fingrav_workloads::suite::{self, SuiteClass, SuiteKernel};
 
-use crate::harness::{profile_kernel, simulation, Scale};
+use crate::harness::{par_map, profile_kernel, simulation, Scale};
 
 fn machine() -> MachineConfig {
     MachineConfig::default()
@@ -74,13 +74,13 @@ fn synthetic_kernel(us: u64) -> KernelDesc {
 /// yield empirically with a synthetic kernel in that range.
 pub fn table1(scale: Scale) -> Table1Data {
     let table = GuidanceTable::paper();
-    let mut rows = Vec::new();
-    for (us, label) in [
+    let ranges = [
         (30u64, "25-50us"),
         (100, "50-200us"),
         (500, "200us-1ms"),
         (1600, ">1ms"),
-    ] {
+    ];
+    let rows = par_map(&ranges, |&(us, label)| {
         let exec = SimDuration::from_micros(us);
         let entry = *table.lookup(exec);
         let runs = match scale {
@@ -100,15 +100,15 @@ pub fn table1(scale: Scale) -> Table1Data {
         let report = runner
             .profile(&synthetic_kernel(us))
             .expect("synthetic kernel profiles");
-        rows.push(Table1Row {
+        Table1Row {
             exec_label: label.to_string(),
             runs,
             margin_frac: entry.margin_frac,
             loi_target: entry.recommended_lois(SimDuration::from_nanos(report.exec_time_ns)),
             lois_harvested: report.ssp_loi_count() as u32,
             golden_fraction: report.golden_runs as f64 / report.runs_executed.max(1) as f64,
-        });
-    }
+        }
+    });
     Table1Data {
         table_markdown: table.as_markdown(),
         rows,
@@ -355,34 +355,44 @@ pub fn fig5(scale: Scale) -> Fig5Data {
     let m = machine();
     let kernel = suite::cb_gemm(&m, 4096);
     let full_runs = scale.runs(200);
-
-    let synced = profile_kernel("fig5-sync", &kernel, full_runs);
-
-    let cfg = BaselineConfig {
-        runs: full_runs.unwrap_or(200),
-        executions_per_run: synced.executions_per_run,
-        ..BaselineConfig::default()
-    };
-    let mut sim = simulation("fig5-unsync");
-    let unsynced = unsynchronized::profile(&mut sim, &kernel, &cfg).expect("unsync baseline");
-
-    let mut sim = simulation("fig5-sync"); // same seed as synced: same device draws
-    let mut runner = FingravRunner::new(
-        &mut sim,
-        RunnerConfig {
-            runs_override: full_runs,
-            margin_override: Some(10.0), // effectively no binning
-            ..RunnerConfig::default()
-        },
-    );
-    let unbinned = runner.profile(&kernel).expect("unbinned profile");
-
     let few = match scale {
         Scale::Full => 50,
         Scale::Quick => 25,
         Scale::Bench => 6,
     };
-    let few_runs = profile_kernel("fig5-few", &kernel, Some(few));
+
+    // Three independent jobs. The unsynchronized baseline replays the
+    // synced profile's burst length, so it runs chained after it.
+    let profiles = par_map(&[0, 1, 2], |&job| match job {
+        0 => {
+            let synced = profile_kernel("fig5-sync", &kernel, full_runs);
+            let cfg = BaselineConfig {
+                runs: full_runs.unwrap_or(200),
+                executions_per_run: synced.executions_per_run,
+                ..BaselineConfig::default()
+            };
+            let mut sim = simulation("fig5-unsync");
+            let unsynced =
+                unsynchronized::profile(&mut sim, &kernel, &cfg).expect("unsync baseline");
+            (synced, Some(unsynced))
+        }
+        1 => {
+            let mut sim = simulation("fig5-sync"); // same seed as synced: same device draws
+            let mut runner = FingravRunner::new(
+                &mut sim,
+                RunnerConfig {
+                    runs_override: full_runs,
+                    margin_override: Some(10.0), // effectively no binning
+                    ..RunnerConfig::default()
+                },
+            );
+            (runner.profile(&kernel).expect("unbinned profile"), None)
+        }
+        _ => (profile_kernel("fig5-few", &kernel, Some(few)), None),
+    });
+    let [(synced, unsynced), (unbinned, _), (few_runs, _)]: [_; 3] =
+        profiles.try_into().expect("three fig5 jobs");
+    let unsynced = unsynced.expect("the synced job also profiles the baseline");
 
     // All shape statistics are computed over the *common* busy window: the
     // SSP probe is re-run per report, so each report's burst length can
@@ -571,26 +581,36 @@ pub struct Fig7Data {
     pub cb_proportionality_spread: Option<f64>,
 }
 
-/// Regenerates Fig. 7 (and feeds takeaways #2-#4).
-pub fn fig7(scale: Scale) -> Fig7Data {
-    let m = machine();
-    let kernels = suite::gemm_suite(&m);
-    let mut rows = Vec::new();
-    let mut reports = Vec::new();
-    for sk in &kernels {
-        let report = profile_kernel(&format!("fig7-{}", sk.label), &sk.desc, scale.runs(0));
-        let mean = report
-            .ssp_profile
-            .mean_power()
-            .expect("SSP profile has LOIs");
-        rows.push(ComponentRow {
+/// Profiles every kernel on its own simulation (seeded `{exp}-{label}`),
+/// across the workers, and summarises each SSP profile as a component
+/// row. Returns the rows and the reports, both in kernel order.
+fn component_rows(
+    exp: &str,
+    kernels: &[SuiteKernel],
+    scale: Scale,
+) -> (Vec<ComponentRow>, Vec<KernelPowerReport>) {
+    let reports = par_map(kernels, |sk| {
+        profile_kernel(&format!("{exp}-{}", sk.label), &sk.desc, scale.runs(0))
+    });
+    let rows = kernels
+        .iter()
+        .zip(&reports)
+        .map(|(sk, report)| ComponentRow {
             label: sk.label.clone(),
             class: sk.class,
-            mean,
+            mean: report
+                .ssp_profile
+                .mean_power()
+                .expect("SSP profile has LOIs"),
             utilization: sk.desc.compute_utilization,
-        });
-        reports.push(report);
-    }
+        })
+        .collect();
+    (rows, reports)
+}
+
+/// Regenerates Fig. 7 (and feeds takeaways #2-#4).
+pub fn fig7(scale: Scale) -> Fig7Data {
+    let (rows, reports) = component_rows("fig7", &suite::gemm_suite(&machine()), scale);
     let cb_points: Vec<ProportionalityPoint> = rows
         .iter()
         .filter(|r| r.class.is_compute_bound_gemm())
@@ -701,22 +721,22 @@ pub fn fig9(scale: Scale) -> Fig9Data {
     let v8 = suite::mb_gemv(&m, 8192);
     let v4 = suite::mb_gemv(&m, 4096);
     let v2 = suite::mb_gemv(&m, 2048);
-    let iso = |name: &str, desc: &KernelDesc| -> f64 {
-        profile_kernel(&format!("fig9-iso-{name}"), desc, iso_runs)
-            .ssp_mean_total_w
-            .expect("isolated SSP measured")
-    };
-    let iso_8k = iso("cb8", &cb8);
-    let iso_2k = iso("cb2", &cb2);
-    let iso_v8 = iso("v8", &v8);
-    let iso_v4 = iso("v4", &v4);
+    let isolated = par_map(
+        &[("cb8", &cb8), ("cb2", &cb2), ("v8", &v8), ("v4", &v4)],
+        |&(name, desc)| {
+            profile_kernel(&format!("fig9-iso-{name}"), desc, iso_runs)
+                .ssp_mean_total_w
+                .expect("isolated SSP measured")
+        },
+    );
+    let [iso_8k, iso_2k, iso_v8, iso_v4]: [f64; 4] =
+        isolated.try_into().expect("four isolated profiles");
 
-    let mut scenarios = Vec::new();
-    let mut scenario = |name: &str,
-                        target_label: &str,
-                        isolated_w: f64,
-                        pre_descs: Vec<(&KernelDesc, u32)>,
-                        target_desc: &KernelDesc| {
+    let scenario = |name: &str,
+                    target_label: &str,
+                    isolated_w: f64,
+                    pre_descs: &[(&KernelDesc, u32)],
+                    target_desc: &KernelDesc| {
         let mut sim = simulation(&format!("fig9-{name}"));
         let pre: Vec<(KernelHandle, u32)> = pre_descs
             .iter()
@@ -729,7 +749,7 @@ pub fn fig9(scale: Scale) -> Fig9Data {
             .collect();
         let target = PowerBackend::register_kernel(&mut sim, target_desc).expect("register");
         let (mean, lois) = interleaved_mean(&mut sim, &pre, target, runs);
-        scenarios.push(InterleaveScenario {
+        InterleaveScenario {
             name: name.to_string(),
             target: target_label.to_string(),
             effect: InterleaveEffect {
@@ -737,36 +757,41 @@ pub fn fig9(scale: Scale) -> Fig9Data {
                 interleaved_w: mean.unwrap_or(isolated_w),
             },
             interleaved_lois: lois,
-        });
+        }
     };
 
-    // Paper scenarios, left graph: GEMM targets.
-    scenario("CB->8K", "CB-8K-GEMM", iso_8k, vec![(&cb2, 60)], &cb8);
-    scenario("MB->2K", "CB-2K-GEMM", iso_2k, vec![(&v4, 40)], &cb2);
-    // Enough heavy predecessors that the firmware reaches its plateau
-    // (past the initial excursion trough) before the target launches.
-    scenario(
-        "CB->2K",
-        "CB-2K-GEMM",
-        iso_2k,
-        vec![(&cb8, 6), (&cb4, 20)],
-        &cb2,
-    );
-    // Right graph: GEMV targets.
-    scenario(
-        "MB->8Kgemv",
-        "MB-8K-GEMV",
-        iso_v8,
-        vec![(&v4, 20), (&v2, 20)],
-        &v8,
-    );
-    scenario(
-        "CB->4Kgemv",
-        "MB-4K-GEMV",
-        iso_v4,
-        vec![(&cb8, 2), (&cb4, 2)],
-        &v4,
-    );
+    let specs = [
+        // Paper scenarios, left graph: GEMM targets.
+        ("CB->8K", "CB-8K-GEMM", iso_8k, vec![(&cb2, 60)], &cb8),
+        ("MB->2K", "CB-2K-GEMM", iso_2k, vec![(&v4, 40)], &cb2),
+        // Enough heavy predecessors that the firmware reaches its plateau
+        // (past the initial excursion trough) before the target launches.
+        (
+            "CB->2K",
+            "CB-2K-GEMM",
+            iso_2k,
+            vec![(&cb8, 6), (&cb4, 20)],
+            &cb2,
+        ),
+        // Right graph: GEMV targets.
+        (
+            "MB->8Kgemv",
+            "MB-8K-GEMV",
+            iso_v8,
+            vec![(&v4, 20), (&v2, 20)],
+            &v8,
+        ),
+        (
+            "CB->4Kgemv",
+            "MB-4K-GEMV",
+            iso_v4,
+            vec![(&cb8, 2), (&cb4, 2)],
+            &v4,
+        ),
+    ];
+    let scenarios = par_map(&specs, |(name, target_label, isolated_w, pre, target)| {
+        scenario(name, target_label, *isolated_w, pre, target)
+    });
 
     Fig9Data { scenarios }
 }
@@ -795,22 +820,7 @@ pub fn fig10(scale: Scale) -> Fig10Data {
             .find(|k| k.label == "CB-8K-GEMM")
             .expect("suite contains CB-8K-GEMM"),
     );
-    let mut rows = Vec::new();
-    let mut reports = Vec::new();
-    for sk in &kernels {
-        let report = profile_kernel(&format!("fig10-{}", sk.label), &sk.desc, scale.runs(0));
-        let mean = report
-            .ssp_profile
-            .mean_power()
-            .expect("SSP profile has LOIs");
-        rows.push(ComponentRow {
-            label: sk.label.clone(),
-            class: sk.class,
-            mean,
-            utilization: sk.desc.compute_utilization,
-        });
-        reports.push(report);
-    }
+    let (rows, reports) = component_rows("fig10", &kernels, scale);
     Fig10Data { rows, reports }
 }
 
@@ -844,14 +854,19 @@ pub fn table2(scale: Scale) -> Table2Data {
     let mut checks = Vec::new();
 
     // Takeaway 1: SSE/SSP divergence depends on exec time vs window.
-    let r8 = profile_kernel("table2-cb8", &suite::cb_gemm(&m, 8192), scale.runs(0));
-    let r4 = profile_kernel("table2-cb4", &suite::cb_gemm(&m, 4096), scale.runs(0));
-    let r2 = profile_kernel("table2-cb2", &suite::cb_gemm(&m, 2048), scale.runs(0));
-    let (e8, e4, e2) = (
-        r8.sse_vs_ssp_error.unwrap_or(f64::NAN),
-        r4.sse_vs_ssp_error.unwrap_or(f64::NAN),
-        r2.sse_vs_ssp_error.unwrap_or(f64::NAN),
+    let errors = par_map(
+        &[
+            ("table2-cb8", 8192),
+            ("table2-cb4", 4096),
+            ("table2-cb2", 2048),
+        ],
+        |&(exp, n)| {
+            profile_kernel(exp, &suite::cb_gemm(&m, n), scale.runs(0))
+                .sse_vs_ssp_error
+                .unwrap_or(f64::NAN)
+        },
     );
+    let [e8, e4, e2]: [f64; 3] = errors.try_into().expect("three table2 profiles");
     checks.push(Table2Check {
         takeaway: 1,
         description: "similar exec times can manifest very different power profiles; \
@@ -1037,6 +1052,36 @@ mod tests {
         for w in rows.windows(2) {
             assert!(w[0].0 <= w[1].0);
         }
+    }
+
+    /// Every experiment whose simulations run through `par_map` renders
+    /// the same data at any worker count (three workers claim the jobs
+    /// unevenly).
+    #[test]
+    fn experiments_are_worker_count_invariant() {
+        let _guard = crate::harness::tests::WORKERS_GUARD.lock().unwrap();
+        let render = |workers: usize| {
+            crate::harness::set_workers(Some(workers));
+            let s = Scale::Bench;
+            format!(
+                "{:?}\n{:?}\n{:?}\n{:?}\n{:?}\n{:?}",
+                table1(s),
+                fig5(s),
+                fig7(s),
+                fig9(s),
+                fig10(s),
+                table2(s)
+            )
+        };
+        let one = render(1);
+        let two = render(2);
+        let three = render(3);
+        crate::harness::set_workers(None);
+        assert!(one == two, "two workers changed the experiments' output");
+        assert!(
+            one == three,
+            "three workers changed the experiments' output"
+        );
     }
 
     #[test]

@@ -4,7 +4,7 @@
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{mpsc, Mutex};
 use std::time::Instant;
 
 use fingrav_core::backend::{FnBackendFactory, SimulationFactory};
@@ -34,7 +34,8 @@ pub enum Scale {
 pub struct ParsedArgs {
     /// The compute scale (last scale flag wins).
     pub scale: Scale,
-    /// Explicit campaign worker count (`--workers N`), if given.
+    /// Explicit worker count (`--workers N`), if given: it sizes both the
+    /// campaigns and each experiment's independent simulations.
     pub workers: Option<usize>,
     /// Root directory campaigns checkpoint into (`--checkpoint-dir DIR`),
     /// if given.
@@ -146,8 +147,9 @@ static SERVE_SERVICE: Mutex<Option<fingrav_core::transport::CampaignService>> = 
 /// instead of burning the full first-contact window.
 static WIRE_CONTACTED: AtomicBool = AtomicBool::new(false);
 
-/// Overrides the worker count every harness campaign shards across
-/// (`None` restores the automatic available-parallelism sizing). Set by
+/// Overrides the worker count every harness campaign shards across and
+/// [`par_map`] spreads an experiment's simulations over (`None` restores
+/// the automatic available-parallelism sizing). Set by
 /// [`Scale::from_args`] when the binary received `--workers N`.
 pub fn set_workers(workers: Option<usize>) {
     WORKER_OVERRIDE.store(workers.unwrap_or(0), Ordering::Relaxed);
@@ -209,8 +211,9 @@ impl Scale {
     /// Parses the shared experiment argv (`--quick`/`--full`/`--bench`,
     /// `--out DIR`, `--workers N`); defaults to `Full`. A `--workers N`
     /// flag is applied process-wide via [`set_workers`], so every campaign
-    /// the binary runs shards across exactly `N` workers (results are
-    /// bit-identical for any worker count; only wall-clock changes).
+    /// the binary runs, and every [`par_map`] over an experiment's
+    /// simulations, uses exactly `N` workers (results are bit-identical
+    /// for any worker count; only wall-clock changes).
     /// Unrecognized flags are surfaced on stderr.
     pub fn from_args<I: IntoIterator<Item = String>>(args: I) -> Scale {
         let parsed = ParsedArgs::parse(args);
@@ -280,9 +283,10 @@ pub fn runner_config(runs: Option<u32>) -> RunnerConfig {
     }
 }
 
-/// The worker count experiment campaigns shard across: the `--workers N`
-/// override when one was parsed, otherwise the machine's available
-/// parallelism (as sized by the executor itself).
+/// The worker count experiment campaigns shard across and [`par_map`]
+/// runs jobs on: the `--workers N` override when one was parsed,
+/// otherwise the machine's available parallelism (as sized by the
+/// executor itself).
 pub fn default_workers() -> usize {
     worker_override().unwrap_or_else(|| CampaignExecutor::with_available_parallelism().workers())
 }
@@ -676,13 +680,53 @@ pub fn profile_kernel(exp: &str, desc: &KernelDesc, runs: Option<u32>) -> Kernel
     report.reports.pop().expect("one kernel, one report")
 }
 
+/// Runs `job` over every item across [`default_workers`] threads and
+/// returns the results in item order. Meant for an experiment's
+/// independent simulations: each job builds its own seeded simulation, so
+/// the results do not depend on the worker count or on which thread ran
+/// which job.
+///
+/// At one worker the jobs run in order on the calling thread. Otherwise
+/// the calling thread claims jobs alongside `workers - 1` spawned
+/// threads. A panicking job panics the caller once every thread has
+/// stopped.
+pub fn par_map<T: Sync, R: Send>(items: &[T], job: impl Fn(&T) -> R + Sync) -> Vec<R> {
+    let workers = default_workers().min(items.len());
+    if workers <= 1 {
+        return items.iter().map(job).collect();
+    }
+    let next = Mutex::new(0usize);
+    let (tx, rx) = mpsc::channel();
+    let work = |tx: mpsc::Sender<(usize, R)>| loop {
+        let i = {
+            let mut next = next.lock().expect("job claim index");
+            *next += 1;
+            *next - 1
+        };
+        let Some(item) = items.get(i) else { break };
+        // The receiver outlives the scope, so a send cannot fail.
+        tx.send((i, job(item))).expect("result channel open");
+    };
+    std::thread::scope(|s| {
+        for _ in 1..workers {
+            let tx = tx.clone();
+            s.spawn(move || work(tx));
+        }
+        work(tx);
+    });
+    let mut results: Vec<(usize, R)> = rx.into_iter().collect();
+    results.sort_unstable_by_key(|&(i, _)| i);
+    results.into_iter().map(|(_, r)| r).collect()
+}
+
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use fingrav_core::runner::FingravRunner;
+    use std::time::Duration;
 
     /// Serializes tests that touch the process-wide worker override.
-    static WORKERS_GUARD: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    pub(crate) static WORKERS_GUARD: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
     #[test]
     fn scale_parsing() {
@@ -797,6 +841,69 @@ mod tests {
     fn seeds_differ_by_name() {
         assert_ne!(seed_for("fig5"), seed_for("fig6"));
         assert_eq!(seed_for("fig5"), seed_for("fig5"));
+    }
+
+    #[test]
+    fn par_map_returns_results_in_item_order() {
+        let _guard = WORKERS_GUARD.lock().unwrap();
+        set_workers(Some(3));
+        // Job `i` waits until job `i + 1` has finished, so the three jobs
+        // (one per worker) finish in reverse order.
+        let (done_1, wait_1) = mpsc::channel::<()>();
+        let (done_2, wait_2) = mpsc::channel::<()>();
+        let waits = [Mutex::new(wait_1), Mutex::new(wait_2)];
+        let dones = [done_1, done_2];
+        let finished = Mutex::new(Vec::new());
+        let out = par_map(&[0usize, 1, 2], |&i| {
+            if let Some(wait) = waits.get(i) {
+                // A timeout, not a hang, if the jobs ever stop overlapping.
+                let next = wait.lock().unwrap().recv_timeout(Duration::from_secs(10));
+                next.expect("the next job finished first");
+            }
+            finished.lock().unwrap().push(i);
+            if let Some(done) = i.checked_sub(1).and_then(|j| dones.get(j)) {
+                done.send(()).unwrap();
+            }
+            i * 10
+        });
+        set_workers(None);
+        assert_eq!(finished.into_inner().unwrap(), vec![2, 1, 0]);
+        assert_eq!(out, vec![0, 10, 20]);
+    }
+
+    #[test]
+    fn par_map_at_one_worker_runs_on_the_caller() {
+        let _guard = WORKERS_GUARD.lock().unwrap();
+        set_workers(Some(1));
+        let caller = std::thread::current().id();
+        let ids = par_map(&[1, 2, 3, 4], |_| std::thread::current().id());
+        set_workers(None);
+        assert!(ids.iter().all(|&id| id == caller));
+    }
+
+    #[test]
+    fn par_map_of_nothing_is_empty() {
+        let _guard = WORKERS_GUARD.lock().unwrap();
+        set_workers(Some(2));
+        let out: Vec<u8> = par_map(&[] as &[u8], |&b| b);
+        set_workers(None);
+        assert!(out.is_empty());
+    }
+
+    #[test]
+    fn par_map_propagates_a_panicking_job() {
+        let _guard = WORKERS_GUARD.lock().unwrap();
+        set_workers(Some(2));
+        // Whichever thread claims the failing job, the caller panics once
+        // every other job has run, rather than hanging.
+        let result = std::panic::catch_unwind(|| {
+            par_map(&[0, 1, 2, 3, 4, 5], |&i| {
+                assert_ne!(i, 3, "job 3 fails");
+                i
+            })
+        });
+        set_workers(None);
+        assert!(result.is_err());
     }
 
     #[test]

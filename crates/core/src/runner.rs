@@ -150,7 +150,8 @@ impl RunnerConfig {
 /// One collected profiling run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CollectedRun {
-    /// The observable trace.
+    /// The observable trace. The methodology never reads simulator ground
+    /// truth, so `trace.truth` is always empty (`GroundTruth::default()`).
     pub trace: RunTrace,
     /// The per-run CPU–GPU sync.
     pub sync: TimeSync,

@@ -38,7 +38,7 @@ use fingrav_sim::kernel::KernelHandle;
 use fingrav_sim::script::Script;
 use fingrav_sim::session::{AbortHandle, NoopSink};
 use fingrav_sim::time::SimDuration;
-use fingrav_sim::trace::RunTrace;
+use fingrav_sim::trace::{GroundTruth, RunTrace};
 
 use crate::backend::PowerBackend;
 use crate::binning::{bin_durations, Binning};
@@ -490,7 +490,10 @@ impl<'a, B: PowerBackend> StagePipeline<'a, B> {
     }
 
     /// Executes one instrumented run (paper step 2's instrumentation and
-    /// step 5's random pre-launch delay) and synchronizes its clocks.
+    /// step 5's random pre-launch delay) and synchronizes its clocks. The
+    /// returned trace carries only what the host observed: its simulator
+    /// ground truth is cleared, since no stage reads it and it is most of
+    /// a collected run's memory.
     ///
     /// # Errors
     ///
@@ -534,6 +537,7 @@ impl<'a, B: PowerBackend> StagePipeline<'a, B> {
         };
         let script = b.sleep(self.config.inter_run_idle).build();
         let mut trace = self.run_script(&script)?;
+        trace.truth = GroundTruth::default();
         if coarse {
             // Downstream placement machinery reads `power_logs`; when the
             // methodology drives the external logger, its logs take that
@@ -799,6 +803,34 @@ mod tests {
         assert_eq!(s1.run.store, s2.run.store);
         for p in s1.run.iter() {
             assert!(a.is_golden(p.run() as usize), "only golden runs stitched");
+        }
+    }
+
+    /// Collected runs and probe runs keep only what the host observed:
+    /// the simulator's ground truth is dropped as each run completes.
+    #[test]
+    fn collected_and_probe_runs_carry_no_ground_truth() {
+        let mut sim = Simulation::new(SimConfig::default(), 305).unwrap();
+        let desc = kernel(150);
+        let handle = PowerBackend::register_kernel(&mut sim, &desc).unwrap();
+        let mut pipeline = StagePipeline::new(&mut sim, RunnerConfig::quick(8)).unwrap();
+        let calibration = pipeline.calibrate().unwrap();
+        // Probes are `execute_run` without the random pre-launch delay.
+        let probe = pipeline
+            .execute_run(handle, 12, &calibration, false)
+            .unwrap();
+        assert!(!probe.trace.executions.is_empty());
+        assert_eq!(probe.trace.truth, GroundTruth::default());
+
+        let timing = pipeline.timing_probe(handle, &calibration).unwrap();
+        let ssp = pipeline.ssp_search(handle, &calibration, &timing).unwrap();
+        let collection = pipeline
+            .collect_runs(handle, &desc.name, &calibration, &timing, &ssp)
+            .unwrap();
+        assert!(!collection.collected.is_empty());
+        for run in &collection.collected {
+            assert!(!run.trace.power_logs.is_empty());
+            assert_eq!(run.trace.truth, GroundTruth::default());
         }
     }
 
